@@ -6,7 +6,7 @@
 //! * the `exp_*` binaries print the tables (EXPERIMENTS.md embeds them);
 //! * the workspace integration tests assert the qualitative shape
 //!   (who wins, which growth law);
-//! * the Criterion benches time the underlying kernels.
+//! * the `perf` suite times the underlying kernels.
 //!
 //! [`Scale`] keeps the same code usable from debug-mode tests (`Quick`) and
 //! release-mode harness runs (`Full`).

@@ -3,11 +3,14 @@
 //! (`cadapt-bench perf`).
 //!
 //! Each fast-path entry runs the *same* execution twice — once with
-//! `RunConfig { fast_path: false }` (per-box advancement, the pre-fast-path
-//! behaviour) and once with the default batched draining — and reports the
-//! minimum-of-iterations wall time for each. The two runs are also checked
-//! to agree on every report aggregate, so a perf record doubles as an
-//! end-to-end equivalence assertion at benchmark sizes.
+//! `RunConfig { retain_history: true }` (per-box advancement, the
+//! pre-fast-path behaviour) and once with the default batched draining —
+//! and reports the minimum-of-iterations wall time for each. The per-box
+//! run also pays one `BoxRecord` push per box for the retained history, so
+//! `per_box_ms` is above what bare per-box advancement would cost, and the
+//! history holds every box in memory. The two runs
+//! are checked to consume the same number of boxes, so a perf record
+//! doubles as an end-to-end equivalence assertion at benchmark sizes.
 //!
 //! The thread-scaling section times the trial-parallel experiments at
 //! worker counts 1, 2, 4, and the host's available parallelism, and
@@ -378,7 +381,7 @@ fn entry<S: BoxSource>(
 ) -> Result<PerfEntry, BenchError> {
     let per_box_config = RunConfig {
         model,
-        fast_path: false,
+        retain_history: true,
         ..RunConfig::default()
     };
     let batched_config = RunConfig {

@@ -420,47 +420,6 @@ impl BoxSource for ConstantSource {
     }
 }
 
-/// Adaptor recording every box drawn from an inner source, so a run can be
-/// replayed or audited after the fact.
-#[derive(Debug)]
-pub struct RecordingSource<S> {
-    inner: S,
-    record: Vec<Blocks>,
-}
-
-impl<S: BoxSource> RecordingSource<S> {
-    /// Wrap `inner`, recording each box it emits.
-    pub fn new(inner: S) -> Self {
-        RecordingSource {
-            inner,
-            record: Vec::new(),
-        }
-    }
-
-    /// The boxes emitted so far.
-    #[must_use]
-    pub fn record(&self) -> &[Blocks] {
-        &self.record
-    }
-
-    /// Finish recording, returning the emitted prefix as a profile.
-    #[must_use]
-    pub fn into_profile(self) -> SquareProfile {
-        SquareProfile::from_boxes_unchecked(self.record)
-    }
-}
-
-impl<S: BoxSource> BoxSource for RecordingSource<S> {
-    fn next_box(&mut self) -> Blocks {
-        let b = self.inner.next_box();
-        self.record.push(b);
-        b
-    }
-    // `next_run` stays the default (runs of 1): the recorder must see every
-    // box individually, and a consumer may discard the tail of a run, which
-    // would desynchronise the recorded prefix from what was consumed.
-}
-
 // Exact float equality in tests is deliberate: outputs are required to be
 // bit-identical run to run (see the golden records).
 #[allow(clippy::float_cmp)]
@@ -560,16 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn recording_source_captures_prefix() {
-        let mut rec = RecordingSource::new(ConstantSource::new(7));
-        for _ in 0..3 {
-            let _ = rec.next_box();
-        }
-        assert_eq!(rec.record(), &[7, 7, 7]);
-        assert_eq!(rec.into_profile().boxes(), &[7, 7, 7]);
-    }
-
-    #[test]
     fn take_from_collects() {
         let mut c = ConstantSource::new(5);
         let p = SquareProfile::take_from(&mut c, 3);
@@ -644,10 +593,20 @@ mod tests {
 
     #[test]
     fn default_next_run_is_single_box() {
-        let mut rec = RecordingSource::new(ConstantSource::new(7));
-        let run = rec.next_run();
+        /// A source that overrides only `next_box`, counting its calls.
+        struct Counting {
+            drawn: u64,
+        }
+        impl BoxSource for Counting {
+            fn next_box(&mut self) -> Blocks {
+                self.drawn += 1;
+                7
+            }
+        }
+        let mut source = Counting { drawn: 0 };
+        let run = source.next_run();
         assert_eq!(run, BoxRun { size: 7, repeat: 1 });
-        assert_eq!(rec.record(), &[7]);
+        assert_eq!(source.drawn, 1);
     }
 
     #[test]

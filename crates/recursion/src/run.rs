@@ -6,10 +6,11 @@
 //! legacy [`BoxSource`] entry points wrap the source in a
 //! [`cadapt_core::SourceCursor`], and the Monte-Carlo
 //! drivers in `cadapt-analysis` call the cursor entry points directly.
-//! The loop advances whole runs in closed form on the fast path, expands
-//! runs per box when history retention (or the measured per-box baseline)
-//! needs `BoxRecord`s, and observes cooperative cancellation between runs
-//! as the typed [`RunError::Cancelled`].
+//! The loop advances whole runs in closed form, expands runs per box when
+//! history retention needs `BoxRecord`s (which also makes
+//! `retain_history: true` the per-box reference the batched path is tested
+//! against), and observes cooperative cancellation between runs as the
+//! typed [`RunError::Cancelled`].
 
 use crate::model::ExecModel;
 use crate::params::AbcParams;
@@ -27,14 +28,12 @@ pub struct RunConfig {
     /// profiles; worst-case profiles at the largest benchmark sizes use
     /// tens of millions of boxes, so the default is generous).
     pub max_boxes: u64,
-    /// Retain the per-box history in the report's ledger.
+    /// Retain the per-box history in the report's ledger. Without it the
+    /// source is drained by [`BoxRun`](cadapt_core::BoxRun)s, each run of
+    /// identical boxes advancing in closed form; with it every box is
+    /// advanced and recorded individually (bit-identical aggregates; see
+    /// the differential tests).
     pub retain_history: bool,
-    /// Drain the source by [`BoxRun`](cadapt_core::BoxRun)s, advancing each
-    /// run of identical boxes in closed form (bit-identical results; see
-    /// the differential tests). Disabled automatically when
-    /// `retain_history` needs per-box records, and settable to `false` to
-    /// measure the per-box baseline.
-    pub fast_path: bool,
 }
 
 impl Default for RunConfig {
@@ -43,7 +42,6 @@ impl Default for RunConfig {
             model: ExecModel::Simplified,
             max_boxes: 2_000_000_000,
             retain_history: false,
-            fast_path: true,
         }
     }
 }
@@ -207,7 +205,7 @@ pub fn run_cursor_with_ledger<C: RunCursor>(
     // History retention needs one BoxRecord per box, so runs are expanded
     // back to per-box advancement there; otherwise whole runs of identical
     // boxes advance in closed form with bit-identical totals and counters.
-    let drain_runs = config.fast_path && !config.retain_history;
+    let drain_runs = !config.retain_history;
     while !cursor.is_done() {
         if ledger.boxes_used() >= config.max_boxes {
             return Err(RunError::BoxBudgetExhausted {
@@ -324,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_per_box_bitwise() {
+    fn batched_matches_per_box_bitwise() {
         let profile =
             SquareProfile::new(vec![1, 1, 1, 1, 16, 16, 2, 2, 2, 64, 4, 4, 4, 4]).unwrap();
         for model in [ExecModel::Simplified, ExecModel::capacity()] {
@@ -334,7 +332,7 @@ mod tests {
             };
             let slow_config = RunConfig {
                 model,
-                fast_path: false,
+                retain_history: true,
                 ..RunConfig::default()
             };
             let mut fast_source = profile.cycle();
@@ -360,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_counters_match_per_box() {
+    fn batched_counters_match_per_box() {
         use cadapt_core::counters::Recording;
         let mut fast_source = ConstantSource::new(16);
         let mut slow_source = ConstantSource::new(16);
@@ -379,7 +377,7 @@ mod tests {
             1024,
             &mut slow_source,
             &RunConfig {
-                fast_path: false,
+                retain_history: true,
                 ..RunConfig::default()
             },
         )
